@@ -7,34 +7,48 @@
 //! whose PageRanks have already converged. We accumulate PageRank values
 //! with AtomicAdd operations."
 //!
-//! Realized as residual (push-style) PageRank: every frontier vertex
-//! pushes `d * residual / degree` to its neighbors via atomic adds; a
-//! vertex re-enters the frontier while its incoming residual exceeds the
-//! tolerance. The fixed point is the standard PageRank vector (teleport
-//! `(1-d)/n`), so results are directly comparable to power iteration.
+//! Realized as residual PageRank: every frontier vertex sends
+//! `d * residual / degree` along each out-edge; a vertex re-enters the
+//! frontier while its incoming residual exceeds the tolerance. The fixed
+//! point is the standard PageRank vector (teleport `(1-d)/n`), so
+//! results are directly comparable to power iteration.
+//!
+//! Each iteration picks its direction (§4.5: "supports both push-based
+//! (scatter) communication and pull-based (gather) communication"). A
+//! sparse frontier pushes its shares with the paper's atomic adds; once
+//! the frontier's out-edges pass `|E| / PULL_EDGE_DIVISOR` and a reverse
+//! graph is attached, every vertex instead gathers its in-neighbors'
+//! shares with plain loads ([`pull_reduce`]). Off-frontier shares are
+//! zero and frontiers are ascending, so on one thread both directions
+//! add the same terms in the same order: the scores are bit-identical.
 
 use crate::recover::{check_failed, expect_len, expect_vertex_ids, malformed};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::AtomicF64;
+use gunrock_engine::atomics::{as_atomic_f64, AtomicF64};
 use gunrock_engine::compact::compact_indices;
 use gunrock_graph::{EdgeId, VertexId};
 use rayon::prelude::*;
+
+/// An iteration pulls once its frontier's out-edges exceed
+/// `|E| / PULL_EDGE_DIVISOR`: a pull step reads every edge with a plain
+/// load, a push step pays an atomic add per frontier edge, so pulling
+/// wins well before the frontier covers the graph.
+const PULL_EDGE_DIVISOR: usize = 4;
 
 /// PageRank configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PrOptions {
     /// Damping factor (`d` in the PageRank equation).
     pub damping: f64,
-    /// Convergence tolerance. For [`pagerank`] (push): per-vertex pending
-    /// residual mass — a vertex below it leaves the frontier. For
-    /// [`pagerank_pull`]: global L1 change per iteration (there is no
-    /// per-vertex frontier in the dense gather). The pull threshold is
-    /// the coarser of the two for equal values.
+    /// Convergence tolerance: per-vertex pending residual mass. A vertex
+    /// at or below it leaves the frontier; the run converges when the
+    /// frontier is empty.
     pub epsilon: f64,
     /// Hard iteration cap (`1` reproduces the paper's one-iteration
     /// Ligra comparison).
     pub max_iters: usize,
-    /// Workload mapping for the push advance.
+    /// Workload mapping for push iterations (a pull iteration gathers
+    /// over every vertex).
     pub mode: AdvanceMode,
 }
 
@@ -51,8 +65,12 @@ pub struct PrResult {
     pub scores: Vec<f64>,
     /// Bulk-synchronous iterations executed.
     pub iterations: u32,
-    /// Edges pushed across over all iterations.
+    /// Edges examined over all iterations: a push iteration counts the
+    /// frontier's out-edges, a pull iteration every edge.
     pub edges_examined: u64,
+    /// Iterations that gathered in the pull direction. A resumed run
+    /// counts from the resume point.
+    pub pull_iterations: u32,
     /// Wall time of the enact loop.
     pub elapsed: std::time::Duration,
     /// How the enact loop ended. A partial outcome still carries a
@@ -64,21 +82,17 @@ pub struct PrResult {
     pub outcome: RunOutcome,
 }
 
-/// Residual-push functor: scatter the source's frozen residual share to
-/// the destination's accumulator (the paper's AtomicAdd accumulation).
-struct PushResidual<'a> {
-    graph: &'a gunrock_graph::Csr,
-    residual_in: &'a [f64],
+/// Residual-push functor: scatter the source's share to the
+/// destination's accumulator (the paper's AtomicAdd accumulation).
+struct PushShare<'a> {
+    share: &'a [f64],
     acc: &'a [AtomicF64],
-    damping: f64,
 }
 
-impl AdvanceFunctor for PushResidual<'_> {
+impl AdvanceFunctor for PushShare<'_> {
     #[inline]
     fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        let deg = self.graph.out_degree(src) as f64;
-        let _ = self.acc[dst as usize]
-            .fetch_add(self.damping * self.residual_in[src as usize] / deg);
+        let _ = self.acc[dst as usize].fetch_add(self.share[src as usize]);
         false // effect-only
     }
 }
@@ -125,6 +139,7 @@ pub fn pagerank(ctx: &Context<'_>, opts: PrOptions) -> PrResult {
             scores: Vec::new(),
             iterations: 0,
             edges_examined: 0,
+            pull_iterations: 0,
             elapsed: std::time::Duration::ZERO,
             outcome: RunOutcome::Converged,
         };
@@ -182,8 +197,14 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
     // structured BudgetExceeded) before the first operator launches.
     let opts = PrOptions { mode: crate::admission::admit(ctx, "pagerank", opts.mode), ..opts };
     let PrLoop { mut scores, mut residual, mut frontier, mut iterations } = st;
-    // reused accumulator (zeroed as it is drained each iteration)
-    let acc: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+    // per-run arrays, all zero between iterations: `share[v]` is what a
+    // frontier vertex sends along each out-edge (zero off the frontier,
+    // so a pull step may read it for every in-edge) and `acc[v]` the
+    // mass v receives
+    let mut share = vec![0.0f64; n];
+    let mut acc = vec![0.0f64; n];
+    let pull_edges = (g.num_edges() / PULL_EDGE_DIVISOR) as u64;
+    let mut pull_iterations = 0u32;
     let guard = ctx.guard();
     let mut outcome = RunOutcome::Converged;
 
@@ -199,42 +220,62 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
             break;
         }
         iterations += 1;
-        ctx.end_iteration(false);
-        // absorb frontier residuals into the scores (compute step); a
-        // dangling (out-degree 0) vertex cannot push, so its damped mass
-        // teleports uniformly, matching the power-iteration fixed point
+        // absorb frontier residuals into the scores (compute step) and
+        // split each into per-edge shares; a dangling (out-degree 0)
+        // vertex cannot send, so its damped mass teleports uniformly,
+        // matching the power-iteration fixed point
         let mut dangling = 0.0f64;
+        let mut frontier_edges = 0u64;
         for &v in frontier.as_slice() {
-            scores[v as usize] += residual[v as usize];
-            if g.out_degree(v) == 0 {
-                dangling += opts.damping * residual[v as usize];
+            let deg = g.out_degree(v);
+            let v = v as usize;
+            scores[v] += residual[v];
+            if deg == 0 {
+                dangling += opts.damping * residual[v];
+            } else {
+                share[v] = opts.damping * residual[v] / deg as f64;
+                frontier_edges += u64::from(deg);
             }
         }
-        // push: advance for effect with atomic accumulation
-        let functor =
-            PushResidual { graph: g, residual_in: &residual, acc: &acc, damping: opts.damping };
-        let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
-        let _ = advance::advance(ctx, &frontier, spec, &functor);
+        let pull = ctx.reverse.is_some() && frontier_edges > pull_edges;
+        ctx.end_iteration(pull);
+        if pull {
+            // gather: every vertex sums its in-neighbors' shares
+            pull_iterations += 1;
+            pull_reduce(
+                ctx,
+                frontier.len(),
+                0.0,
+                |_v, u, _e| share[u as usize],
+                |a, b| a + b,
+                &mut acc,
+            );
+        } else {
+            // push: advance for effect with atomic accumulation
+            let functor = PushShare { share: &share, acc: as_atomic_f64(&mut acc) };
+            let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
+            let _ = advance::advance(ctx, &frontier, spec, &functor);
+        }
         // consumed residuals are gone; newly received ones replace them
         for &v in frontier.as_slice() {
             residual[v as usize] = 0.0;
+            share[v as usize] = 0.0;
         }
         let teleport = dangling / n as f64;
-        residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
-            *r += a.load() + teleport;
-            a.store(0.0);
+        residual.par_iter_mut().zip(acc.par_iter_mut()).for_each(|(r, a)| {
+            *r += *a + teleport;
+            *a = 0.0;
         });
-        // filter: vertices with enough pending residual re-enter
+        // filter: vertices with enough pending residual re-enter. This
+        // loop never takes buffers from the pool, so the old frontier is
+        // dropped rather than recycled: parked in the pool it would stay
+        // pinned, and the next one would need fresh memory
         let eps = opts.epsilon;
-        let next = compact_indices(&residual, |&r| r > eps);
-        ctx.recycle(std::mem::replace(&mut frontier, Frontier::from_vec(next)));
+        frontier = Frontier::from_vec(compact_indices(&residual, |&r| r > eps));
     }
     // fold any remaining sub-threshold residual into the scores
     scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
 
-    // the loop's last frontier still owns pooled storage; return it so
-    // a re-run on this context starts with a warm pool
-    ctx.recycle(frontier);
     // a panic that emptied the frontier must not read as convergence
     if ctx.is_poisoned() {
         outcome = RunOutcome::Failed;
@@ -243,84 +284,15 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
         scores,
         iterations,
         edges_examined: ctx.counters.edges(),
+        pull_iterations,
         elapsed: start.elapsed(),
         outcome,
     }
 }
 
-/// Edge throughput: every iteration touches the frontier's out-edges.
+/// Edge throughput over the edges examined (see [`PrResult::edges_examined`]).
 pub fn pr_mteps(result: &PrResult) -> f64 {
     Timing { elapsed: result.elapsed, edges_examined: result.edges_examined }.mteps()
-}
-
-/// Pull-mode (gather) PageRank built on the [`neighbor_reduce`]
-/// operator — the atomic-free path §4.5 describes ("Gunrock ... supports
-/// both push-based (scatter) communication and pull-based (gather)
-/// communication during traversal steps") and §7 motivates ("global and
-/// neighborhood operations ... generally require less-efficient atomic
-/// operations"; gather-reduce removes them). Synchronous full-frontier
-/// iterations: each vertex gathers `pr[u] / deg(u)` over its in-edges
-/// (== out-edges on the undirected benchmark graphs; pass the reverse
-/// graph as `ctx.graph` for directed inputs).
-pub fn pagerank_pull(ctx: &Context<'_>, opts: PrOptions) -> PrResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    let start = std::time::Instant::now();
-    if n == 0 {
-        return PrResult {
-            scores: Vec::new(),
-            iterations: 0,
-            edges_examined: 0,
-            elapsed: start.elapsed(),
-            outcome: RunOutcome::Converged,
-        };
-    }
-    let base = (1.0 - opts.damping) / n as f64;
-    let mut pr = vec![1.0 / n as f64; n];
-    let frontier = Frontier::full(n);
-    let mut iterations = 0u32;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    while (iterations as usize) < opts.max_iters {
-        if let Some(tripped) = guard.check(iterations) {
-            outcome = tripped;
-            break;
-        }
-        iterations += 1;
-        ctx.end_iteration(false);
-        let dangling: f64 =
-            (0..n as u32).filter(|&v| g.out_degree(v) == 0).map(|v| pr[v as usize]).sum();
-        let teleport = base + opts.damping * dangling / n as f64;
-        let pr_ref = &pr;
-        let gathered = neighbor_reduce(
-            ctx,
-            &frontier,
-            0.0f64,
-            |_v, u, _e| {
-                let deg = g.out_degree(u);
-                if deg == 0 {
-                    0.0
-                } else {
-                    pr_ref[u as usize] / deg as f64
-                }
-            },
-            |a, b| a + b,
-        );
-        let next: Vec<f64> =
-            gathered.into_par_iter().map(|acc| teleport + opts.damping * acc).collect();
-        let l1: f64 = pr.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).sum();
-        pr = next;
-        if l1 < opts.epsilon {
-            break;
-        }
-    }
-    PrResult {
-        scores: pr,
-        iterations,
-        edges_examined: ctx.counters.edges(),
-        elapsed: start.elapsed(),
-        outcome,
-    }
 }
 
 #[cfg(test)]
@@ -335,18 +307,33 @@ mod tests {
     fn pull_mode_matches_push_mode_and_oracle() {
         let g = GraphBuilder::new().build(rmat(8, 16, Default::default(), 6));
         let want = serial::pagerank(&g, 0.85, 1e-14, 2000);
-        let pull = {
-            let ctx = Context::new(&g);
-            pagerank_pull(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() })
-        };
-        let push = {
-            let ctx = Context::new(&g);
-            pagerank(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() })
-        };
+        let opts = PrOptions { epsilon: 1e-12, ..Default::default() };
+        let pull = pagerank(&Context::new(&g).with_reverse(&g), opts);
+        // without a reverse graph every iteration pushes
+        let push = pagerank(&Context::new(&g), opts);
+        assert!(pull.pull_iterations > 0, "a full first frontier must pull");
+        assert_eq!(push.pull_iterations, 0);
         for v in 0..g.num_vertices() {
             assert!((pull.scores[v] - want[v]).abs() < 1e-6, "pull vertex {v}");
             assert!((pull.scores[v] - push.scores[v]).abs() < 1e-6, "pull vs push {v}");
         }
+    }
+
+    #[test]
+    fn pull_steps_are_traced_as_pull_advances() {
+        let g = GraphBuilder::new().build(rmat(8, 16, Default::default(), 6));
+        let ctx = Context::new(&g).with_reverse(&g).with_stats();
+        let r = pagerank(&ctx, PrOptions::default());
+        let stats = ctx.run_stats();
+        assert_eq!(stats.pull_iterations(), r.pull_iterations);
+        let pulls: Vec<_> =
+            stats.steps.iter().filter(|s| s.direction == Some(StepDirection::Pull)).collect();
+        assert_eq!(pulls.len() as u32, r.pull_iterations);
+        for s in pulls {
+            assert_eq!((s.operator, s.strategy), (OperatorKind::Advance, "pull"));
+            assert_eq!(s.edges_examined, g.num_edges() as u64, "a pull step reads every edge");
+        }
+        assert_eq!(stats.edges_examined(), r.edges_examined);
     }
 
     #[test]
@@ -427,11 +414,16 @@ mod tests {
         let ctx = Context::new(&g);
         let own = pagerank(&ctx, PrOptions { max_iters: 1, ..Default::default() });
         assert_eq!(own.outcome, RunOutcome::Converged);
-        // pull mode honors the policy too
-        let ctx = Context::new(&g).with_policy(RunPolicy::unbounded().max_iterations(2));
-        let pull = pagerank_pull(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() });
+        // pull iterations honor the policy and conserve mass too
+        let ctx = Context::new(&g)
+            .with_reverse(&g)
+            .with_policy(RunPolicy::unbounded().max_iterations(2));
+        let pull = pagerank(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() });
         assert_eq!(pull.outcome, RunOutcome::IterationCapped);
         assert_eq!(pull.iterations, 2);
+        assert!(pull.pull_iterations > 0);
+        let sum: f64 = pull.scores.iter().sum();
+        assert!((sum - want).abs() < 1e-9, "pull sum {sum}, want {want}");
     }
 
     #[test]

@@ -586,7 +586,9 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
             }
         }
         "pagerank" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
+            // CLI graphs are symmetric, so the graph is its own reverse
+            // and dense iterations gather instead of pushing
+            let ctx = instrument(Context::new(&g).with_reverse(&g).with_policy(policy));
             let opts = algos::PrOptions { epsilon: 1e-10, ..Default::default() };
             let r = match &resume_ckpt {
                 Some(ckpt) => algos::pagerank_resume(&ctx, opts, ckpt)

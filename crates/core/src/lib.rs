@@ -74,7 +74,7 @@ pub mod prelude {
         culling::{filter_with_culling_bitmap, CullingConfig},
     };
     pub use crate::functor::{AcceptAll, AdvanceFunctor, EdgeCond, FilterFunctor, VertexCond};
-    pub use crate::neighbor_reduce::neighbor_reduce;
+    pub use crate::neighbor_reduce::{neighbor_reduce, pull_reduce};
     pub use crate::partition::{partitioned_advance, ExchangeStats, VertexPartition};
     pub use crate::policy::{CheckpointPolicy, RetryPolicy, RunGuard, RunPolicy};
     pub use crate::priority_queue::NearFarQueue;

@@ -67,7 +67,12 @@ impl AtomicF32 {
 
 /// An `f64` cell supporting atomic add via CAS on the bit pattern.
 #[derive(Debug)]
+#[repr(transparent)]
 pub struct AtomicF64(AtomicU64);
+
+// `as_atomic_f64` reinterprets `f64` storage as `AtomicF64`; on targets
+// where `f64` is less aligned than `AtomicU64` (e.g. i686) it must not compile.
+const _: () = assert!(std::mem::align_of::<f64>() == std::mem::align_of::<AtomicF64>());
 
 impl AtomicF64 {
     /// Creates a cell holding `v`.
@@ -115,6 +120,17 @@ pub fn as_atomic_u32(slice: &mut [u32]) -> &[AtomicU32] {
     // SAFETY: AtomicU32 is #[repr(C, align(4))] over u32; exclusive borrow
     // guarantees no non-atomic aliases exist during the returned lifetime.
     unsafe { &*(slice as *mut [u32] as *const [AtomicU32]) }
+}
+
+/// Reinterprets a mutable `f64` slice as [`AtomicF64`] cells for the
+/// duration of a parallel accumulation phase, so a plain array can take
+/// atomic adds in one step and plain stores in the next.
+#[inline]
+pub fn as_atomic_f64(slice: &mut [f64]) -> &[AtomicF64] {
+    // SAFETY: AtomicF64 is #[repr(transparent)] over AtomicU64, which has
+    // the size of f64 and (asserted above) its alignment; exclusive borrow
+    // guarantees no non-atomic aliases exist during the returned lifetime.
+    unsafe { &*(slice as *mut [f64] as *const [AtomicF64]) }
 }
 
 /// Allocates a vector of `AtomicU32` initialized to `init`.
@@ -187,6 +203,12 @@ mod tests {
             atoms[1].store(80, Ordering::Relaxed);
         }
         assert_eq!(data, vec![7, 80, 9]);
+        let mut sums = vec![0.5f64, 1.0];
+        {
+            let atoms = as_atomic_f64(&mut sums);
+            let _ = atoms[0].fetch_add(0.25);
+        }
+        assert_eq!(sums, vec![0.75, 1.0]);
     }
 
     #[test]

@@ -115,14 +115,28 @@ Measured:
 | BFS/SSSP/BC "comparable or better" vs hardwired | better on BFS (2.4x, driven by bitcoin where the hardwired pull sweep pays O(n) per level), SSSP 1.3x, BC 1.4x | PASS |
 | SSSP "performance inconsistency vs Ligra is due to comparing our Dijkstra-based method with Ligra's Bellman-Ford" | the near-far queue's work savings dominate on every topology here, so Gunrock wins SSSP throughout — the asymmetry the paper describes, pointing the same way | PARTIAL (no inversion observed at this scale) |
 
-**PageRank note.** The GAS engines' gather is pull-based (no atomics,
-one pass), while Gunrock's frontier PR pays atomic scatter plus
-convergence filtering per iteration; with zero parallelism the atomic
-path cannot amortize. On the paper's GPU the same fused scatter wins by
-1.6x; the 1-core inversion is a substrate artifact, not an abstraction
-one — against the engines that pay comparable per-superstep costs
-(Medusa's materialized messages, Ligra's atomic scatter), Gunrock's PR
-wins 3.9x and 1.3x respectively (paper: 1.6x vs MapGraph).
+**PageRank note.** Gunrock's PageRank in this table pushes on every
+iteration, paying an atomic CAS add and a division per frontier edge,
+where the GAS engines gather without atomics. The table harness gives
+Gunrock's PageRank no reverse graph, so it still measures that push-only
+path. With a reverse graph attached, PageRank picks its direction per
+iteration (DESIGN §5.3, paper §4.5): once the frontier's out-edges exceed
+|E|/4 it gathers over the reverse graph with plain loads. A one-off run of
+this command with the reverse graph attached to Gunrock's PageRank, back
+to back with the push-only build on one 2-core host, gave these rows (ms):
+
+| Dataset | MapGraph | PG | Gunrock push-only | Gunrock direction-optimized |
+|---|---:|---:|---:|---:|
+| soc     | 14.00 | 17.05 | 66.57 | 17.84 |
+| bitcoin | 20.37 | 18.61 | 26.31 | 13.12 |
+| kron    | 11.05 | 12.56 | 54.59 |  9.50 |
+| roadnet | 10.84 | 11.02 | 18.19 |  5.61 |
+
+There, direction optimization made Gunrock's PageRank 2.0-5.8x faster
+(geomean 3.4x). Against the MapGraph role it moved from 0.37x to 1.29x
+geomean (paper: 1.6x), and against the PG role from 0.40x to 1.37x; soc
+is the one graph where both stay ahead. BGL and the hardwired
+implementation remain faster on every graph at this scale.
 """
 
 T3 = """\
